@@ -6,9 +6,6 @@ Grids"* (González-Vélez & Cole, PPoPP 2007).  The package provides:
 * :mod:`repro.grid` — a deterministic discrete-event simulator of a
   heterogeneous, non-dedicated computational grid (nodes, links, sites,
   background-load models, failures).
-* :mod:`repro.comm` — an MPI-like message-passing environment layered on the
-  simulator (point-to-point and collective operations with communication
-  cost accounting).
 * :mod:`repro.monitor` — resource sensors and short-term forecasters in the
   spirit of the Network Weather Service.
 * :mod:`repro.skeletons` — algorithmic skeletons: task farm, pipeline and
@@ -105,7 +102,7 @@ from repro.core import (
 )
 from repro.cluster import ClusterBackend, ClusterCoordinator, LocalCluster
 from repro.baselines import StaticFarm, StaticPipeline
-from repro.monitor import PerformanceThreshold, ResourceMonitor
+from repro.monitor import ResourceMonitor
 
 __all__ = [
     "__version__",
@@ -167,5 +164,4 @@ __all__ = [
     "StaticPipeline",
     # monitor
     "ResourceMonitor",
-    "PerformanceThreshold",
 ]

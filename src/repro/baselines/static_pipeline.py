@@ -12,7 +12,7 @@ and never reconsiders the mapping.  Two mapping rules are provided:
 
 The streaming model (per-stage serialisation, inter-stage transfers, result
 return to the master) is identical to the adaptive
-:class:`~repro.core.pipeline_executor.PipelineExecutor` — both stream
+:class:`~repro.core.plan_executor.PlanExecutor` — both stream
 through :meth:`~repro.backends.base.ExecutionBackend.dispatch_chain` — so
 measured differences come from the mapping policy alone, and the baseline
 runs on any backend (virtual time or real threads).
@@ -27,7 +27,7 @@ from repro.baselines.result import BaselineResult
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.grid.simulator import GridSimulator
 from repro.grid.topology import GridTopology
-from repro.core.pipeline_executor import lower_pipeline_stages
+from repro.core.plan_executor import lower_chain_stages
 from repro.skeletons.base import Task, TaskResult
 from repro.skeletons.pipeline import Pipeline
 
@@ -93,8 +93,8 @@ class StaticPipeline:
         if not tasks:
             raise ExecutionError("static pipeline needs at least one item")
         assignment = self.stage_assignment(tasks[0].payload)
-        chain = lower_pipeline_stages(
-            self.pipeline,
+        chain = lower_chain_stages(
+            self.pipeline.lower(),
             lambda index: (lambda free_at, _node=assignment[index]: _node),
         )
 

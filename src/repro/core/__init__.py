@@ -9,8 +9,8 @@ The package mirrors the paper's four phases:
 * **Compilation** — :class:`repro.core.compilation.CompiledProgram` links
   the program with the parallel environment (an
   :class:`~repro.backends.base.ExecutionBackend`: the virtual-time grid
-  simulator or real OS threads, plus the communicator) and the
-  resource-monitoring library.
+  simulator, real threads, processes, an asyncio loop or a cluster) and
+  the resource-monitoring library.
 * **Calibration** — :func:`repro.core.calibration.calibrate` implements
   Algorithm 1: execute a sample on every allocated node, rank nodes
   (time-only or statistically) and select the fittest.
@@ -20,8 +20,7 @@ The package mirrors the paper's four phases:
   (recalibrate / reschedule) when it is breached.  Every skeleton lowers
   onto the execution-plan IR (:mod:`repro.core.plan`) and one
   :class:`repro.core.plan_executor.PlanExecutor` drives the engine
-  through the backend interface for any plan shape (the historical farm
-  and pipeline executors remain as shims over it).
+  through the backend interface for any plan shape.
 
 The :class:`repro.core.grasp.Grasp` facade orchestrates all four phases and
 is the main entry point of the library.

@@ -10,8 +10,8 @@ matters."
 :func:`compile_program` performs the Python equivalent of that link step: it
 binds the program to an :class:`~repro.backends.base.ExecutionBackend` over
 the topology, co-allocates the node pool, designates the master/monitor
-node, builds the communicator and the resource monitor, and returns a
-:class:`CompiledProgram` ready for the calibration phase.
+node, builds the resource monitor, and returns a :class:`CompiledProgram`
+ready for the calibration phase.
 
 The ``backend`` parameter is the rebinding point of the whole methodology:
 the same :class:`~repro.core.program.SkeletalProgram` compiles against the
@@ -41,7 +41,6 @@ from repro.backends import (
     ThreadBackend,
     as_backend,
 )
-from repro.comm.communicator import SimulatedCommunicator
 from repro.core.program import SkeletalProgram
 from repro.exceptions import CompilationError
 from repro.grid.simulator import GridSimulator
@@ -55,12 +54,11 @@ __all__ = ["CompiledProgram", "compile_program"]
 
 @dataclass
 class CompiledProgram:
-    """A skeletal program linked with its environment, communicator and monitor."""
+    """A skeletal program linked with its environment and monitor."""
 
     program: SkeletalProgram
     topology: GridTopology
     simulator: Optional[GridSimulator]
-    communicator: SimulatedCommunicator
     monitor: ResourceMonitor
     master_node: str
     pool: List[str]
@@ -260,7 +258,6 @@ def _link(
             f"co-allocation at time {at_time}"
         )
 
-    communicator = SimulatedCommunicator(env, pool)
     monitor = ResourceMonitor(env, pool, master_node=master)
 
     tracer.record("phase.compilation", "program linked with grid environment",
@@ -271,7 +268,6 @@ def _link(
         program=program,
         topology=topology,
         simulator=getattr(env, "simulator", None),
-        communicator=communicator,
         monitor=monitor,
         master_node=master,
         pool=list(pool),

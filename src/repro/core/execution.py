@@ -1,11 +1,11 @@
 """Shared execution-phase data structures (Algorithm 2).
 
-The farm and pipeline executors (:mod:`repro.core.farm_executor` and
-:mod:`repro.core.pipeline_executor`) both follow the paper's Algorithm 2:
-execute over the chosen nodes, collect execution times per monitoring round,
-and adapt when ``min(T) > Z``.  This module holds the structures they share —
-the per-round monitoring record and the overall execution report — plus the
-report-level metrics the analysis harness consumes.
+The plan executor (:mod:`repro.core.plan_executor`) follows the paper's
+Algorithm 2 for every skeleton: execute over the chosen nodes, collect
+execution times per monitoring round, and adapt when ``min(T) > Z``.  This
+module holds the structures every plan shape shares — the per-round
+monitoring record and the overall execution report — plus the report-level
+metrics the analysis harness consumes.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ grid topology, :meth:`Grasp.run` walks the methodology of Figure 1:
    :class:`~repro.core.program.SkeletalProgram`.
 2. **Compilation** — bind it to the parallel environment (an
    :class:`~repro.backends.base.ExecutionBackend` — the virtual-time grid
-   simulator or real OS threads — plus communicator and monitor) via
+   simulator or a wall-clock backend — plus the resource monitor) via
    :func:`~repro.core.compilation.compile_program`.
 3. **Calibration** — Algorithm 1 selects the fittest nodes (the sample work
    counts toward the job).

@@ -6,8 +6,7 @@ stages, or a fan whose unit is itself a chained sub-plan — through the
 shared :class:`~repro.core.engine.AdaptiveEngine`.  Monitoring windows,
 threshold breaches, recalibrate/re-rank, streaming ``as_completed``,
 chunked dispatch and the lost-task livelock cap are uniform across all
-plan shapes and all backends; the historical ``FarmExecutor`` and
-``PipelineExecutor`` are thin compatibility shims over this class.
+plan shapes and all backends.
 
 The three walks:
 

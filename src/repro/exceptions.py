@@ -4,7 +4,7 @@ All library exceptions derive from :class:`GraspError` so callers can catch
 library failures with a single ``except`` clause.  Each GRASP phase and each
 substrate has its own subclass, mirroring the phase structure of the
 methodology (programming, compilation, calibration, execution) plus the
-substrates (grid, communication, scheduling).
+substrates (grid, cluster, scheduling).
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class ProtocolError(ClusterError):
     Covers malformed frames (bad magic, unsupported protocol version,
     oversized lengths), truncated frames at end-of-stream and payloads that
     do not decode to a known message type.
-    """
-
-
-class CommunicationError(GraspError):
-    """Raised by the message-passing environment.
-
-    Covers sends to unknown ranks, mismatched collective participation and
-    deserialisation failures.
     """
 
 

@@ -2,8 +2,8 @@
 
 :class:`GridSimulator` turns abstract task costs and message sizes into
 virtual-time durations against a :class:`repro.grid.topology.GridTopology`.
-It is the single authority on time in the system: the communicator, the
-skeleton executors and the monitoring sensors all consult it.
+It is the single authority on time in the system: the backends, the
+plan executor and the monitoring sensors all consult it.
 
 Semantics
 ---------

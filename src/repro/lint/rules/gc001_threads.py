@@ -13,7 +13,7 @@ def _static_name_prefix(node: ast.AST) -> Optional[str]:
     """The static leading text of a name expression, if determinable.
 
     Handles plain string constants and f-strings whose first piece is a
-    constant (``f"grasp-spmd-{rank}"``).  Returns None when the prefix
+    constant (``f"grasp-worker-{rank}"``).  Returns None when the prefix
     cannot be determined statically.
     """
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

@@ -11,15 +11,19 @@ monitoring (task for a farm, stage-round for a pipeline).
 A :class:`Task` is one schedulable unit: a payload (the user's data), a
 compute cost in abstract work units, and input/output sizes in bytes for the
 communication model.  :class:`TaskResult` records where and when it ran.
+:func:`estimate_size` supplies those byte counts for arbitrary payloads.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.comm.message import estimate_size
+import numpy as np
+
 from repro.exceptions import SkeletonError
 
 __all__ = [
@@ -30,10 +34,48 @@ __all__ = [
     "TaskResult",
     "SkeletonProperties",
     "Skeleton",
+    "estimate_size",
 ]
 
 #: A cost model maps a task payload to abstract work units.
 CostModel = Callable[[Any], float]
+
+#: Fixed per-message envelope overhead in bytes (headers, tags, pickling
+#: framing).  Small but non-zero so that zero-byte payloads still cost a
+#: latency-bound message.
+ENVELOPE_BYTES = 64
+
+
+def estimate_size(payload: Any) -> int:
+    """Estimate the serialised size of ``payload`` in bytes.
+
+    Communication cost in the simulator depends on message size.  For
+    arbitrary Python payloads the size is estimated with :mod:`pickle`;
+    fast paths avoid pickling large NumPy arrays just to measure them.
+    """
+    if payload is None:
+        return ENVELOPE_BYTES
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes) + ENVELOPE_BYTES
+    if isinstance(payload, memoryview):
+        # len() counts elements; a multi-byte format needs nbytes.
+        return payload.nbytes + ENVELOPE_BYTES
+    if isinstance(payload, (bytes, bytearray)):
+        return len(payload) + ENVELOPE_BYTES
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8")) + ENVELOPE_BYTES
+    if isinstance(payload, (int, float, bool, complex)):
+        return sys.getsizeof(payload) + ENVELOPE_BYTES
+    if isinstance(payload, (list, tuple)) and payload and all(
+        isinstance(item, (int, float, bool)) for item in payload
+    ):
+        return 8 * len(payload) + ENVELOPE_BYTES
+    try:
+        return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)) + ENVELOPE_BYTES
+    except Exception:
+        # Unpicklable payloads (e.g. closures over locks) still need a size;
+        # fall back to a conservative flat estimate.
+        return 1024 + ENVELOPE_BYTES
 
 
 @dataclass(frozen=True)

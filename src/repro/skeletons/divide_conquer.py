@@ -15,9 +15,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-from repro.comm.message import estimate_size
 from repro.exceptions import SkeletonError
-from repro.skeletons.base import CostModel, Skeleton, SkeletonProperties, Task
+from repro.skeletons.base import (
+    CostModel,
+    Skeleton,
+    SkeletonProperties,
+    Task,
+    estimate_size,
+)
 
 __all__ = ["DivideAndConquer"]
 

@@ -19,9 +19,14 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.message import estimate_size
 from repro.exceptions import SkeletonError
-from repro.skeletons.base import CostModel, Skeleton, SkeletonProperties, Task
+from repro.skeletons.base import (
+    CostModel,
+    Skeleton,
+    SkeletonProperties,
+    Task,
+    estimate_size,
+)
 
 __all__ = ["MapSkeleton"]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-from repro.comm.message import estimate_size
 from repro.exceptions import SkeletonError
 from repro.skeletons.base import (
     CostModel,
@@ -25,6 +24,7 @@ from repro.skeletons.base import (
     SkeletonProperties,
     Task,
     constant_cost,
+    estimate_size,
 )
 from repro.utils.awaitables import resolve_awaitable
 

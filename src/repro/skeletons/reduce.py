@@ -15,9 +15,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.comm.message import estimate_size
 from repro.exceptions import SkeletonError
-from repro.skeletons.base import Skeleton, SkeletonProperties, Task
+from repro.skeletons.base import Skeleton, SkeletonProperties, Task, estimate_size
 
 __all__ = ["ReduceSkeleton"]
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.comm.message import estimate_size
 from repro.exceptions import SkeletonError
 from repro.utils.awaitables import resolve_awaitable
 from repro.skeletons.base import (
@@ -24,6 +23,7 @@ from repro.skeletons.base import (
     SkeletonProperties,
     Task,
     constant_cost,
+    estimate_size,
 )
 
 __all__ = ["TaskFarm"]

@@ -1,4 +1,4 @@
-"""Tests for the adaptive farm executor (Algorithm 2 for the task farm)."""
+"""Tests for Algorithm 2 on a task farm: the plan executor over a fan plan."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import collections
 import pytest
 
 from repro.core.calibration import calibrate
-from repro.core.farm_executor import FarmExecutor
 from repro.core.parameters import (
     AdaptationAction,
     CalibrationConfig,
@@ -19,6 +18,8 @@ from repro.grid.failures import PermanentFailure
 from repro.grid.load import StepLoad
 from repro.grid.node import GridNode
 from repro.grid.simulator import GridSimulator
+from repro.core.plan import FanPlan
+from repro.core.plan_executor import PlanExecutor
 from repro.grid.topology import GridTopology
 from repro.skeletons.taskfarm import TaskFarm
 
@@ -31,8 +32,9 @@ def run_farm(grid, farm, n_tasks, config=None):
     master = grid.node_ids[0]
     calibration = calibrate(tasks, grid.node_ids, farm.execute_task, sim,
                             config.calibration, master, min_nodes=2, at_time=0.0)
-    executor = FarmExecutor(farm.execute_task, sim, config, master,
-                            grid.node_ids, min_nodes=2)
+    executor = PlanExecutor(plan=FanPlan(body=farm.execute_task, min_nodes=2),
+                            simulator=sim, config=config, master_node=master,
+                            pool=grid.node_ids, min_nodes=2)
     report = executor.run(tasks, calibration)
     return report, calibration
 
@@ -200,14 +202,18 @@ class TestValidation:
     def test_unknown_master_rejected(self, hetero_grid):
         sim = GridSimulator(hetero_grid)
         with pytest.raises(ExecutionError):
-            FarmExecutor(lambda t: None, sim, GraspConfig(), "ghost",
-                         hetero_grid.node_ids)
+            PlanExecutor(plan=FanPlan(body=lambda t: None, min_nodes=1),
+                         simulator=sim, config=GraspConfig(),
+                         master_node="ghost", pool=hetero_grid.node_ids,
+                         min_nodes=1)
 
     def test_empty_pool_rejected(self, hetero_grid):
         sim = GridSimulator(hetero_grid)
         with pytest.raises(ExecutionError):
-            FarmExecutor(lambda t: None, sim, GraspConfig(),
-                         hetero_grid.node_ids[0], [])
+            PlanExecutor(plan=FanPlan(body=lambda t: None, min_nodes=1),
+                         simulator=sim, config=GraspConfig(),
+                         master_node=hetero_grid.node_ids[0], pool=[],
+                         min_nodes=1)
 
     def test_report_validate_detects_missing_tasks(self, hetero_grid):
         farm = TaskFarm(worker=lambda x: x)

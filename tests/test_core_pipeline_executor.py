@@ -1,4 +1,4 @@
-"""Tests for the adaptive pipeline executor (Algorithm 2 for the pipeline)."""
+"""Tests for Algorithm 2 on a pipeline: the plan executor over a chain plan."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ from repro.core.parameters import (
     ExecutionConfig,
     GraspConfig,
 )
-from repro.core.pipeline_executor import (
-    PipelineExecutor,
+from repro.core.plan_executor import (
+    PlanExecutor,
     StageMapping,
-    build_stage_mapping,
+    build_plan_mapping,
 )
 from repro.exceptions import ExecutionError
 from repro.grid.load import StepLoad
@@ -49,7 +49,8 @@ def run_pipeline(grid, pipeline, n_items, config=None):
                             lambda t: pipeline.run_item(t.payload), sim,
                             config.calibration, master,
                             min_nodes=pipeline.num_stages, at_time=0.0)
-    executor = PipelineExecutor(pipeline, sim, config, master, grid.node_ids)
+    executor = PlanExecutor(plan=pipeline.lower(), simulator=sim, config=config,
+                            master_node=master, pool=grid.node_ids)
     report = executor.run(list(queue), calibration)
     return report, calibration
 
@@ -57,25 +58,25 @@ def run_pipeline(grid, pipeline, n_items, config=None):
 class TestStageMapping:
     def test_heaviest_stage_gets_fittest_node(self):
         pipe = weighted_pipeline()
-        mapping = build_stage_mapping(pipe, ["best", "mid", "worst"], sample_item=1)
+        mapping = build_plan_mapping(pipe.lower(), ["best", "mid", "worst"], sample_item=1)
         assert mapping.nodes_for(1) == ["best"]     # heavy stage
         assert set(mapping.nodes_for(0) + mapping.nodes_for(2)) == {"mid", "worst"}
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ExecutionError):
-            build_stage_mapping(weighted_pipeline(), ["only", "two"], sample_item=1)
+            build_plan_mapping(weighted_pipeline().lower(), ["only", "two"], sample_item=1)
 
     def test_replication_uses_spare_nodes(self):
         pipe = weighted_pipeline()
-        mapping = build_stage_mapping(pipe, ["a", "b", "c", "d", "e"], sample_item=1,
-                                      replicate=True)
+        mapping = build_plan_mapping(pipe.lower(), ["a", "b", "c", "d", "e"],
+                                     sample_item=1, replicate=True)
         assert len(mapping.nodes_for(1)) >= 2  # heavy replicable stage replicated
         assert set(mapping.all_nodes()) == {"a", "b", "c", "d", "e"}
 
     def test_no_replication_leaves_spares_unused(self):
         pipe = weighted_pipeline()
-        mapping = build_stage_mapping(pipe, ["a", "b", "c", "d"], sample_item=1,
-                                      replicate=False)
+        mapping = build_plan_mapping(pipe.lower(), ["a", "b", "c", "d"],
+                                     sample_item=1, replicate=False)
         assert len(mapping.all_nodes()) == 3
 
     def test_pick_node_prefers_earliest_free_replica(self):
@@ -133,16 +134,18 @@ class TestPipelineExecution:
                                 lambda t: pipe.run_item(t.payload), sim,
                                 CalibrationConfig(), master,
                                 min_nodes=pipe.num_stages, at_time=0.0)
-        executor = PipelineExecutor(pipe, sim, GraspConfig(), master,
-                                    hetero_grid.node_ids)
+        executor = PlanExecutor(plan=pipe.lower(), simulator=sim,
+                                config=GraspConfig(), master_node=master,
+                                pool=hetero_grid.node_ids)
         with pytest.raises(ExecutionError):
             executor.run([], calibration)
 
     def test_unknown_master_rejected(self, hetero_grid):
         sim = GridSimulator(hetero_grid)
         with pytest.raises(ExecutionError):
-            PipelineExecutor(weighted_pipeline(), sim, GraspConfig(), "ghost",
-                             hetero_grid.node_ids)
+            PlanExecutor(plan=weighted_pipeline().lower(), simulator=sim,
+                         config=GraspConfig(), master_node="ghost",
+                         pool=hetero_grid.node_ids)
 
 
 class TestPipelineAdaptation:

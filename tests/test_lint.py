@@ -177,7 +177,7 @@ def test_gc002_clean_with_shutdown_same_function():
 
 def test_gc002_scoped_to_cluster_dirs():
     bad = "def f(self):\n    self._sock.close()\n"
-    assert lint_as("src/repro/comm/w.py", bad) == []
+    assert lint_as("src/repro/skeletons/w.py", bad) == []
 
 
 def test_gc002_different_sockets_tracked_separately():
@@ -367,7 +367,7 @@ def test_gc007_clean_on_preencoded_frame():
 
 def test_gc007_scoped_to_cluster_dirs():
     ok = "def send(self, msg):\n    self.sock.sendall(encode(msg))\n"
-    assert lint_as("src/repro/comm/c.py", ok) == []
+    assert lint_as("src/repro/skeletons/c.py", ok) == []
 
 
 # ---------------------------------------------------------------------- GC008

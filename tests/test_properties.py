@@ -8,11 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.comm.collectives import (
-    binomial_tree_rounds,
-    broadcast_completion_times,
-    gather_completion_time,
-    )
 from repro.core.calibration import select_fittest
 from repro.core.parameters import CalibrationConfig, SelectionPolicy
 from repro.core.ranking import NodeScore, RankingMode, rank_nodes
@@ -97,30 +92,6 @@ class TestSimulatorProperties:
         assert records[-1].finished == pytest.approx(sum(c / speed for c in costs))
         for earlier, later in zip(records, records[1:]):
             assert later.started == pytest.approx(earlier.finished)
-
-    @given(st.integers(min_value=1, max_value=64))
-    def test_binomial_tree_covers_all_ranks(self, size):
-        covered = {0}
-        for pairs in binomial_tree_rounds(size):
-            for src, dst in pairs:
-                assert src in covered
-                covered.add(dst)
-        assert covered == set(range(size))
-
-    @given(st.integers(min_value=1, max_value=32),
-           st.floats(min_value=0.0, max_value=100.0))
-    def test_broadcast_times_never_before_start(self, size, start):
-        times = broadcast_completion_times(size, 10.0, start,
-                                           lambda s, d, n, t: 0.5)
-        assert all(t >= start for t in times.values())
-        assert len(times) == size
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=16))
-    def test_gather_completes_after_every_ready_time(self, ready):
-        size = len(ready)
-        finish = gather_completion_time(size, [1.0] * size, ready,
-                                        lambda s, d, n, t: 0.25)
-        assert finish >= max(ready)
 
 
 class TestSchedulerProperties:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import threading
+
+import numpy as np
 import pytest
 
 from repro.exceptions import SkeletonError
 from repro.skeletons.base import (
+    ENVELOPE_BYTES,
     Skeleton,
     Task,
     TaskResult,
     callable_cost,
     constant_cost,
+    estimate_size,
 )
 from repro.skeletons.taskfarm import TaskFarm
 
@@ -32,6 +37,41 @@ class TestCostModels:
         model = callable_cost(lambda item: -1.0)
         with pytest.raises(SkeletonError):
             model("x")
+
+
+class TestEstimateSize:
+    def test_none_is_envelope_only(self):
+        assert estimate_size(None) == ENVELOPE_BYTES
+
+    # A memoryview's len() counts elements, not bytes.
+    @pytest.mark.parametrize("wrap", [np.asarray, memoryview],
+                             ids=["ndarray", "memoryview"])
+    def test_numpy_array_uses_nbytes(self, wrap):
+        arr = np.zeros(1000, dtype=np.float64)
+        assert estimate_size(wrap(arr)) == arr.nbytes + ENVELOPE_BYTES
+
+    def test_bytes_and_str(self):
+        assert estimate_size(b"abcd") == 4 + ENVELOPE_BYTES
+        assert estimate_size("abcd") == 4 + ENVELOPE_BYTES
+
+    def test_numeric_list_fast_path(self):
+        assert estimate_size([1, 2, 3, 4]) == 32 + ENVELOPE_BYTES
+
+    def test_scalar(self):
+        assert estimate_size(3.14) > 0
+
+    def test_arbitrary_object_via_pickle(self):
+        size = estimate_size({"a": list(range(100))})
+        assert size > ENVELOPE_BYTES
+
+    def test_unpicklable_object_falls_back(self):
+        lock = threading.Lock()
+        assert estimate_size(lock) >= ENVELOPE_BYTES
+
+    def test_larger_payload_larger_estimate(self):
+        small = estimate_size(np.zeros(10))
+        large = estimate_size(np.zeros(10_000))
+        assert large > small
 
 
 class TestTask:

@@ -206,7 +206,8 @@ class TestExecutorStreams:
 
         from repro.core.calibration import calibrate
         from repro.core.compilation import compile_program
-        from repro.core.farm_executor import FarmExecutor
+        from repro.core.plan import FanPlan
+        from repro.core.plan_executor import PlanExecutor
         from repro.core.program import SkeletalProgram
 
         config = GraspConfig.adaptive()
@@ -219,10 +220,11 @@ class TestExecutorStreams:
             min_nodes=program.min_nodes, at_time=0.0, consume=True,
             backend=compiled.backend,
         )
-        executor = FarmExecutor(
-            execute_fn=program.execute_task, simulator=compiled.backend,
-            config=config, master_node=compiled.master_node,
-            pool=compiled.pool,
+        executor = PlanExecutor(
+            plan=FanPlan(body=program.execute_task, min_nodes=1),
+            simulator=compiled.backend, config=config,
+            master_node=compiled.master_node, pool=compiled.pool,
+            min_nodes=1,
         )
         stream = executor.as_completed(tasks, calibration)
         yielded = []
